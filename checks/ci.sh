@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo CI gate. Run from the repo root:
 #
-#   ./checks/ci.sh                  # format + lints + tier-1 build/test + gates
+#   ./checks/ci.sh                  # format + lints + tier-1 build/test + workspace tests + gates
 #   ./checks/ci.sh --quick          # skip the release build (debug test only)
 #   ./checks/ci.sh --write-budgets  # full run, then refresh checks/{pass,delta}_budgets.json
 #
@@ -33,6 +33,10 @@ else
   echo "==> tier-1: cargo build --release && cargo test -q"
   cargo build --offline --release
   cargo test --offline -q
+  # Tier-1 covers the root package only; the serve recovery/resilience
+  # tests and the per-crate property tests live in the workspace.
+  echo "==> cargo test --workspace"
+  cargo test --offline --workspace -q
 fi
 
 echo "==> determinism: report output must be byte-identical across --jobs"

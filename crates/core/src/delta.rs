@@ -7,7 +7,7 @@
 //! tenant's DNNK gain curve — depend only on `(graph, profile, design,
 //! options − tensor_budget)`. The budget enters the pipeline for the
 //! first time in pass 3's capacity DP. [`PlanArtifacts`] captures that
-//! invariant: build the passes 1–2 artifacts once per `(graph digest,
+//! invariant: build the passes 1–2 artifacts once per `(GraphId,
 //! precision, allocator, design point)`, then
 //! [`PlanArtifacts::replan_with_budget`]
 //! replays only the capacity DP + pivot compensation + splitting +
@@ -32,7 +32,7 @@ use crate::pipeline::{build_front_end, run_back_end, FrontEnd, LcmmOptions, Pipe
 use crate::profiling;
 use crate::LcmmResult;
 use lcmm_fpga::{AccelDesign, GraphProfile};
-use lcmm_graph::Graph;
+use lcmm_graph::{Graph, GraphId};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -57,8 +57,8 @@ pub struct PlanArtifacts {
     fused_profile: Option<Arc<GraphProfile>>,
     options: LcmmOptions,
     front: FrontEnd,
-    graph_name: String,
-    graph_nodes: usize,
+    /// Content id of the graph the artifacts were built for.
+    graph: GraphId,
     colored: std::sync::OnceLock<Vec<crate::interference::VirtualBuffer>>,
     curves: Mutex<HashMap<u64, Arc<GainCurve>>>,
 }
@@ -107,8 +107,7 @@ impl PlanArtifacts {
             fused_profile,
             options,
             front,
-            graph_name: graph.name().to_string(),
-            graph_nodes: graph.len(),
+            graph: graph.id(),
             colored: std::sync::OnceLock::new(),
             curves: Mutex::new(HashMap::new()),
         })
@@ -145,18 +144,15 @@ impl PlanArtifacts {
         &self.options
     }
 
-    /// Guards against replaying artifacts built for a different graph.
-    /// A full structural comparison would defeat the purpose of the
-    /// cache, so this checks the cheap invariants; the harness key
-    /// (graph digest) is the real guarantee.
+    /// Guards against replaying artifacts built for a different graph:
+    /// the content ids must match exactly.
     fn check_graph(&self, graph: &Graph) -> Result<(), LcmmError> {
-        if graph.name() != self.graph_name || graph.len() != self.graph_nodes {
+        if graph.id() != self.graph {
             return Err(LcmmError::InvalidRequest(format!(
-                "plan artifacts were built for '{}' ({} nodes), not '{}' ({} nodes)",
-                self.graph_name,
-                self.graph_nodes,
+                "plan artifacts were built for graph {}, not '{}' ({})",
+                self.graph,
                 graph.name(),
-                graph.len()
+                graph.id()
             )));
         }
         Ok(())
@@ -355,6 +351,32 @@ mod tests {
             .replan_with_budget(&other, None, None)
             .unwrap_err();
         assert!(matches!(err, LcmmError::InvalidRequest(_)));
+    }
+
+    #[test]
+    fn same_name_and_size_is_not_the_same_graph() {
+        // One conv stride changed: same name, same node count.
+        let g = zoo::alexnet();
+        let json = serde_json::to_string(&g).unwrap();
+        let conv1 = json.find("\"name\":\"conv1\"").expect("conv1 present");
+        let stride = conv1
+            + json[conv1..]
+                .find("\"stride_h\":4")
+                .expect("conv1 stride 4");
+        let edited = format!(
+            "{}\"stride_h\":5{}",
+            &json[..stride],
+            &json[stride + "\"stride_h\":4".len()..]
+        );
+        let other: Graph = serde_json::from_str(&edited).unwrap();
+        assert_eq!((other.name(), other.len()), (g.name(), g.len()));
+        let artifacts = PlanArtifacts::build(&g, base(&g), LcmmOptions::default(), None).unwrap();
+        let err = artifacts
+            .replan_with_budget(&other, None, None)
+            .unwrap_err();
+        assert!(matches!(err, LcmmError::InvalidRequest(_)));
+        assert!(artifacts.gain_curve(&other, 1 << 20).is_err());
+        assert!(artifacts.replan_with_budget(&g, None, None).is_ok());
     }
 
     #[test]

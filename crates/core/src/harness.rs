@@ -7,9 +7,9 @@
 //! them three things:
 //!
 //! 1. **Memoization** — every artefact is cached behind a concurrent
-//!    map keyed by a deterministic JSON fingerprint of its inputs, so
-//!    e.g. the three Fig. 8 ablation variants share one profile of the
-//!    common derated design.
+//!    map keyed by the graph's [`GraphId`] plus the compact JSON of the
+//!    other inputs, so e.g. the three Fig. 8 ablation variants share
+//!    one profile of the common derated design.
 //! 2. **Parallelism** — [`Harness::par_map`] fans a work list out over
 //!    `jobs` OS threads while preserving input order, so report output
 //!    is byte-identical between `--jobs 1` and any parallel run (the
@@ -29,18 +29,22 @@ use crate::pipeline::{LcmmOptions, LcmmResult, Pipeline};
 use crate::profiling::PassStats;
 use crate::umm::UmmBaseline;
 use lcmm_fpga::{AccelDesign, Device, GraphProfile, Precision};
-use lcmm_graph::Graph;
+use lcmm_graph::{Graph, GraphId};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// A memo key: the graph's content id plus the compact JSON of the
+/// artefact's other inputs (device, design, options).
+type Key = (GraphId, String);
 
 /// A concurrent memo table: one `OnceLock` per key so a value is
 /// computed exactly once even when several workers request it at the
 /// same moment (late arrivals block on the in-flight computation
 /// instead of redoing it).
 struct Cache<T> {
-    map: Mutex<HashMap<String, Arc<OnceLock<Arc<T>>>>>,
+    map: Mutex<HashMap<Key, Arc<OnceLock<Arc<T>>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
 }
@@ -54,13 +58,14 @@ impl<T> Cache<T> {
         }
     }
 
-    fn get_or_compute(&self, key: String, compute: impl FnOnce() -> T) -> Arc<T> {
-        let cell = {
-            let mut map = self.map.lock().expect("cache lock poisoned");
-            map.entry(key)
-                .or_insert_with(|| Arc::new(OnceLock::new()))
-                .clone()
-        };
+    /// The (possibly still empty) cell of `key`.
+    fn cell(&self, key: Key) -> Arc<OnceLock<Arc<T>>> {
+        let mut map = self.map.lock().expect("cache lock poisoned");
+        map.entry(key).or_default().clone()
+    }
+
+    fn get_or_compute(&self, key: Key, compute: impl FnOnce() -> T) -> Arc<T> {
+        let cell = self.cell(key);
         let mut computed = false;
         let value = cell
             .get_or_init(|| {
@@ -83,15 +88,10 @@ impl<T> Cache<T> {
     /// values, so both threads still observe one shared `Arc`.
     fn try_get_or_compute<E>(
         &self,
-        key: String,
+        key: Key,
         compute: impl FnOnce() -> Result<T, E>,
     ) -> Result<Arc<T>, E> {
-        let cell = {
-            let mut map = self.map.lock().expect("cache lock poisoned");
-            map.entry(key)
-                .or_insert_with(|| Arc::new(OnceLock::new()))
-                .clone()
-        };
+        let cell = self.cell(key);
         if let Some(value) = cell.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(value.clone());
@@ -104,14 +104,12 @@ impl<T> Cache<T> {
         }
     }
 
-    /// Drops every entry whose key starts with `prefix`, returning how
-    /// many were removed. Every harness key starts with the graph's
-    /// fingerprint followed by `\u{1}`, so a graph-fingerprint prefix
-    /// evicts exactly that graph's artefacts.
-    fn remove_prefix(&self, prefix: &str) -> usize {
+    /// Drops every entry derived from graph `id`, returning how many
+    /// were removed.
+    fn remove_graph(&self, id: GraphId) -> usize {
         let mut map = self.map.lock().expect("cache lock poisoned");
         let before = map.len();
-        map.retain(|key, _| !key.starts_with(prefix));
+        map.retain(|key, _| key.0 != id);
         before - map.len()
     }
 
@@ -188,11 +186,17 @@ impl std::fmt::Debug for Harness {
     }
 }
 
-/// Deterministic JSON fingerprint of a cache-key part. The vendored
+/// Compact JSON of a (small, non-graph) cache-key part. The vendored
 /// serializer emits maps and sets in sorted order, so equal values
-/// always fingerprint identically.
+/// always produce identical text.
 fn fp<T: Serialize>(value: &T) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| format!("<unserializable:{e}>"))
+}
+
+/// Key of a result or artifact set: the graph, the derated design and
+/// the options.
+fn run_key(graph: &Graph, design: &AccelDesign, options: &LcmmOptions) -> Key {
+    (graph.id(), format!("{}\u{1}{}", fp(design), fp(options)))
 }
 
 /// Short human label for one pipeline run.
@@ -280,7 +284,7 @@ impl Harness {
         device: &Device,
         precision: Precision,
     ) -> Result<Arc<AccelDesign>, LcmmError> {
-        let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(device), fp(&precision));
+        let key = (graph.id(), format!("{}\u{1}{}", fp(device), fp(&precision)));
         self.designs.try_get_or_compute(key, || {
             AccelDesign::try_explore(graph, device, precision).map_err(LcmmError::BudgetInfeasible)
         })
@@ -288,7 +292,7 @@ impl Harness {
 
     /// The operation latency table of `design` on `graph`, memoized.
     pub fn profile(&self, graph: &Graph, design: &AccelDesign) -> Arc<GraphProfile> {
-        let key = format!("{}\u{1}{}", fp(graph), fp(design));
+        let key = (graph.id(), fp(design));
         self.profiles.get_or_compute(key, || design.profile(graph))
     }
 
@@ -307,7 +311,7 @@ impl Harness {
     /// The UMM baseline of an explicit design (batch studies, granular
     /// DDR variants), memoized.
     pub fn baseline_from_design(&self, graph: &Graph, design: &AccelDesign) -> Arc<UmmBaseline> {
-        let key = format!("{}\u{1}{}", fp(graph), fp(design));
+        let key = (graph.id(), fp(design));
         self.baselines
             .get_or_compute(key, || UmmBaseline::from_design(graph, design.clone()))
     }
@@ -366,27 +370,21 @@ impl Harness {
     ) -> Result<Arc<LcmmResult>, LcmmError> {
         let pipeline = Pipeline::new(options);
         let design = pipeline.lcmm_design(base.clone());
-        let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(&design), fp(&options));
-        self.results.try_get_or_compute(key, || {
-            let profile = self.profile(graph, &design);
-            let result =
-                pipeline.run_with_profile_checked(graph, design.clone(), &profile, cancel)?;
-            self.runs
-                .lock()
-                .expect("runs lock poisoned")
-                .push(RunRecord {
-                    label: run_label(graph, &design, &options),
-                    stats: result.stats,
-                });
-            Ok(result)
-        })
+        self.results
+            .try_get_or_compute(run_key(graph, &design, &options), || {
+                let profile = self.profile(graph, &design);
+                let result =
+                    pipeline.run_with_profile_checked(graph, design.clone(), &profile, cancel)?;
+                self.record_run(graph, &design, &options, result.stats);
+                Ok(result)
+            })
     }
 
     /// Budget-invariant delta-plan artifacts (passes 1–2 + gain-curve
     /// memo) for `graph` on the derated form of `base` under `options`,
     /// memoized. The key normalises `options.tensor_budget` to `None`,
     /// so every budget variant of a request shares one artifact set —
-    /// the cache key is effectively `(graph digest, design point,
+    /// the cache key is effectively `(GraphId, design point,
     /// precision, allocator, pass toggles)`.
     pub fn try_artifacts(
         &self,
@@ -397,25 +395,11 @@ impl Harness {
     ) -> Result<Arc<PlanArtifacts>, LcmmError> {
         let options = options.with_tensor_budget(None);
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let key = format!("{}\u{1}{}\u{1}{}", fp(graph), fp(&design), fp(&options));
-        self.artifacts_keyed(key, graph, &design, options, cancel)
-    }
-
-    /// [`Harness::try_artifacts`] with a precomputed cache key, so
-    /// callers that already fingerprinted the request (the replan hot
-    /// path) do not serialise the graph and design a second time.
-    fn artifacts_keyed(
-        &self,
-        key: String,
-        graph: &Graph,
-        design: &AccelDesign,
-        options: LcmmOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Arc<PlanArtifacts>, LcmmError> {
-        self.artifacts.try_get_or_compute(key, || {
-            let profile = self.profile(graph, design);
-            PlanArtifacts::from_parts(graph, design.clone(), profile, options, cancel)
-        })
+        self.artifacts
+            .try_get_or_compute(run_key(graph, &design, &options), || {
+                let profile = self.profile(graph, &design);
+                PlanArtifacts::from_parts(graph, design.clone(), profile, options, cancel)
+            })
     }
 
     /// Budget-only replan through the artifact cache: bit-identical to
@@ -432,43 +416,42 @@ impl Harness {
         cancel: Option<&CancelToken>,
     ) -> Result<Arc<LcmmResult>, LcmmError> {
         let options = options.with_tensor_budget(budget);
-        let normalised = options.with_tensor_budget(None);
-        // The derated design is budget-independent, so one derate (and
-        // one graph/design fingerprint) serves both the result key and
-        // the artifact key — fingerprinting is the replan hot path's
-        // only per-call cost once the artifact cache is warm.
         let design = Pipeline::new(options).lcmm_design(base.clone());
-        let graph_fp = fp(graph);
-        let design_fp = fp(&design);
-        let key = format!("{graph_fp}\u{1}{design_fp}\u{1}{}", fp(&options));
-        let artifact_key = format!("{graph_fp}\u{1}{design_fp}\u{1}{}", fp(&normalised));
-        self.results.try_get_or_compute(key, || {
-            let artifacts =
-                self.artifacts_keyed(artifact_key, graph, &design, normalised, cancel)?;
-            let result = artifacts.replan_with_budget(graph, budget, cancel)?;
-            self.runs
-                .lock()
-                .expect("runs lock poisoned")
-                .push(RunRecord {
-                    label: run_label(graph, &design, &options),
-                    stats: result.stats,
-                });
-            Ok(result)
-        })
+        self.results
+            .try_get_or_compute(run_key(graph, &design, &options), || {
+                let artifacts = self.try_artifacts(graph, base, options, cancel)?;
+                let result = artifacts.replan_with_budget(graph, budget, cancel)?;
+                self.record_run(graph, &design, &options, result.stats);
+                Ok(result)
+            })
+    }
+
+    /// Logs one computed pipeline run for the `--profile` report.
+    fn record_run(
+        &self,
+        graph: &Graph,
+        design: &AccelDesign,
+        options: &LcmmOptions,
+        stats: PassStats,
+    ) {
+        let label = run_label(graph, design, options);
+        let mut runs = self.runs.lock().expect("runs lock poisoned");
+        runs.push(RunRecord { label, stats });
     }
 
     /// Evicts every cached artefact derived from `graph` — designs,
     /// profiles, baselines, results, and delta-plan artifacts —
-    /// returning how many entries were dropped. The serve daemon calls
-    /// this when a registered model's graph *content* changes, so a
-    /// re-registered digest never serves stale artifacts.
+    /// returning how many entries were dropped. Entries are selected by
+    /// the graph's [`GraphId`]. The serve daemon calls this when a
+    /// registered model's graph *content* changes, so a re-registered
+    /// model never serves stale artifacts.
     pub fn invalidate_graph(&self, graph: &Graph) -> usize {
-        let prefix = format!("{}\u{1}", fp(graph));
-        self.designs.remove_prefix(&prefix)
-            + self.profiles.remove_prefix(&prefix)
-            + self.baselines.remove_prefix(&prefix)
-            + self.results.remove_prefix(&prefix)
-            + self.artifacts.remove_prefix(&prefix)
+        let id = graph.id();
+        self.designs.remove_graph(id)
+            + self.profiles.remove_graph(id)
+            + self.baselines.remove_graph(id)
+            + self.results.remove_graph(id)
+            + self.artifacts.remove_graph(id)
     }
 
     /// UMM baseline and full-LCMM result side by side (the memoized
@@ -688,47 +671,58 @@ mod tests {
         assert_eq!(stats.artifact_misses, 0, "replay hit the result cache");
     }
 
+    /// Requests one entry of every cache family for `g`.
+    fn touch_every_family(h: &Harness, g: &Graph) -> Arc<LcmmResult> {
+        let opts = LcmmOptions::default();
+        let base = h.design(g, &Device::vu9p(), Precision::Fix16);
+        h.baseline_from_design(g, &base);
+        h.profile(g, &Pipeline::new(opts).lcmm_design((*base).clone()));
+        h.try_artifacts(g, &base, opts, None).unwrap();
+        h.try_replan_with_budget(g, &base, opts, None, None)
+            .unwrap()
+    }
+
+    /// (hits, misses) of the five families, in declaration order.
+    fn per_family(s: CacheStats) -> [(usize, usize); 5] {
+        [
+            (s.design_hits, s.design_misses),
+            (s.profile_hits, s.profile_misses),
+            (s.baseline_hits, s.baseline_misses),
+            (s.result_hits, s.result_misses),
+            (s.artifact_hits, s.artifact_misses),
+        ]
+    }
+
     #[test]
     fn invalidate_graph_forces_recompute_with_identical_results() {
         let h = Harness::new(1);
         let g = small_graph();
-        let base = h.design(&g, &Device::vu9p(), Precision::Fix16);
-        let before = h
-            .try_replan_with_budget(&g, &base, LcmmOptions::default(), None, None)
-            .unwrap();
-        let dropped = h.invalidate_graph(&g);
-        assert!(dropped >= 3, "design + profile + result + artifacts");
-        let after = h
-            .try_replan_with_budget(&g, &base, LcmmOptions::default(), None, None)
-            .unwrap();
+        let before = touch_every_family(&h, &g);
+        let first = per_family(h.cache_stats());
+        assert!(first.iter().all(|&(_, m)| m == 1), "{first:?}");
+        // A separately built equal graph shares every entry: each family
+        // answers it with a hit, never a miss.
+        touch_every_family(&h, &small_graph());
+        let twin = per_family(h.cache_stats());
+        for (family, (a, b)) in first.iter().zip(&twin).enumerate() {
+            assert_eq!(a.1, b.1, "family {family} missed on an equal graph");
+            assert!(b.0 > a.0, "family {family} did not hit on an equal graph");
+        }
+        assert_eq!(h.invalidate_graph(&g), 5, "one entry per family");
+        let after = touch_every_family(&h, &g);
         assert!(!Arc::ptr_eq(&before, &after), "entry was really evicted");
         assert_eq!(before.latency.to_bits(), after.latency.to_bits());
         assert_eq!(before.chosen, after.chosen);
-        // Unrelated graphs are untouched.
+        // Invalidating one graph leaves every other graph's entries in
+        // place: re-requesting them is all hits.
         let other = zoo::squeezenet();
-        h.try_replan_with_budget(
-            &other,
-            &h.design(&other, &Device::vu9p(), Precision::Fix16),
-            LcmmOptions::default(),
-            None,
-            None,
-        )
-        .unwrap();
-        let misses = h.cache_stats().artifact_misses;
-        h.invalidate_graph(&g);
-        h.try_replan_with_budget(
-            &other,
-            &h.design(&other, &Device::vu9p(), Precision::Fix16),
-            LcmmOptions::default(),
-            Some(1 << 20),
-            None,
-        )
-        .unwrap();
-        assert_eq!(
-            h.cache_stats().artifact_misses,
-            misses,
-            "other graph's artifacts survived the invalidation"
-        );
+        touch_every_family(&h, &other);
+        let kept = per_family(h.cache_stats());
+        assert_eq!(h.invalidate_graph(&g), 5);
+        touch_every_family(&h, &other);
+        for (family, (a, b)) in kept.iter().zip(per_family(h.cache_stats())).enumerate() {
+            assert_eq!(a.1, b.1, "family {family} lost the other graph's entry");
+        }
     }
 
     #[test]

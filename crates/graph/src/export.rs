@@ -1,7 +1,8 @@
 //! Graph export: Graphviz DOT and JSON.
 //!
-//! `Graph` derives `serde::{Serialize, Deserialize}`, so JSON is the
-//! interchange format for saving custom models; DOT is for eyeballs.
+//! `Graph` implements `serde::{Serialize, Deserialize}` (decoding
+//! validates), so JSON is the interchange format for saving custom
+//! models; DOT is for eyeballs.
 
 use crate::graph::Graph;
 use crate::GraphError;
@@ -81,13 +82,8 @@ impl Graph {
     /// Returns an error on malformed JSON or on a graph that fails
     /// validation (cycles, dangling node ids).
     pub fn from_json(json: &str) -> Result<Self, GraphError> {
-        let raw: Graph = serde_json::from_str(json)
-            .map_err(|e| GraphError::Malformed(format!("deserialisation failed: {e}")))?;
-        // Re-run the structural validation a builder would have done.
-        let name = raw.name().to_string();
-        let output = raw.output_node().id();
-        let nodes = raw.into_nodes();
-        Graph::from_parts(name, nodes, output)
+        serde_json::from_str(json)
+            .map_err(|e| GraphError::Malformed(format!("deserialisation failed: {e}")))
     }
 }
 
@@ -138,6 +134,28 @@ mod tests {
     fn from_json_rejects_garbage() {
         assert!(Graph::from_json("not json").is_err());
         assert!(Graph::from_json("{\"name\": \"x\"}").is_err());
+    }
+
+    #[test]
+    fn decoding_validates_ids_and_rebuilds_consumers() {
+        let g = zoo::alexnet();
+        let json = serde_json::to_string(&g).expect("serialises");
+        let misnumbered = json.replacen("\"id\":2,", "\"id\":7,", 1);
+        assert_ne!(json, misnumbered);
+        let err = Graph::from_json(&misnumbered).unwrap_err();
+        assert!(err.to_string().contains("carries id 7"), "{err}");
+        let dangling = json.replacen("\"inputs\":[0]", "\"inputs\":[99]", 1);
+        assert!(Graph::from_json(&dangling).is_err());
+        // Consumer lists are derived, never read.
+        let start = json.find("\"consumers\":").unwrap();
+        let end = json.rfind(",\"output\":").unwrap();
+        let emptied = format!("{}\"consumers\":[]{}", &json[..start], &json[end..]);
+        let back = Graph::from_json(&emptied).expect("consumers are optional");
+        assert_eq!(back.id(), g.id());
+        for n in g.iter() {
+            assert_eq!(back.consumers(n.id()), g.consumers(n.id()));
+        }
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

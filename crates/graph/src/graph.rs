@@ -1,11 +1,14 @@
 //! The computation graph: nodes, edges, topological order, accounting.
 
+use crate::id::{ContentHasher, GraphId};
 use crate::op::{FcParams, OpKind};
 use crate::tensor::FeatureShape;
 use crate::GraphError;
-use serde::{Deserialize, Serialize};
+use serde::content::{as_map, decode_field};
+use serde::{Content, Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a node within one [`Graph`].
 ///
@@ -37,7 +40,7 @@ impl fmt::Display for NodeId {
 }
 
 /// One layer of the network.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Hash, Serialize, Deserialize)]
 pub struct Node {
     pub(crate) id: NodeId,
     pub(crate) name: String,
@@ -90,26 +93,38 @@ impl Node {
 
 /// An immutable DNN computation graph.
 ///
-/// Construct one with [`crate::GraphBuilder`]; the builder validates
-/// shapes and guarantees acyclicity, so every `Graph` in existence is
-/// well-formed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Construct one with [`crate::GraphBuilder`] or decode one from JSON;
+/// both routes validate the structure (dense ids, known inputs,
+/// acyclicity), so every `Graph` in existence is well-formed. Its
+/// [`GraphId`] is computed once, on first use.
+#[derive(Debug, Clone)]
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
     /// consumers[i] = ids of nodes that read node i's output.
     consumers: Vec<Vec<NodeId>>,
     output: NodeId,
+    /// Filled by the first [`Graph::id`] call: callers that never key
+    /// or compare graphs (the planner itself) never pay for hashing.
+    id: OnceLock<GraphId>,
 }
 
 impl Graph {
+    /// The one constructor: validates the node table and derives the
+    /// consumer lists.
     pub(crate) fn from_parts(
         name: String,
         nodes: Vec<Node>,
         output: NodeId,
     ) -> Result<Self, GraphError> {
         let mut consumers = vec![Vec::new(); nodes.len()];
-        for node in &nodes {
+        for (index, node) in nodes.iter().enumerate() {
+            if node.id.0 != index {
+                return Err(GraphError::Malformed(format!(
+                    "node {:?} at index {index} carries id {}",
+                    node.name, node.id.0
+                )));
+            }
             for &input in &node.inputs {
                 if input.0 >= nodes.len() {
                     return Err(GraphError::UnknownNode(input.0));
@@ -125,40 +140,33 @@ impl Graph {
             nodes,
             consumers,
             output,
+            id: OnceLock::new(),
         };
-        graph.check_acyclic()?;
+        // Inputs reference earlier nodes only for builder-made graphs;
+        // a decoded graph may have a cycle, which leaves nodes out of
+        // the topological sweep.
+        let swept = graph.topo_order().len();
+        if swept != graph.len() {
+            return Err(GraphError::Malformed(format!(
+                "cycle detected: {} of {} nodes unreachable in topological sweep",
+                graph.len() - swept,
+                graph.len()
+            )));
+        }
         Ok(graph)
     }
 
-    fn check_acyclic(&self) -> Result<(), GraphError> {
-        // Kahn's algorithm; also verifies every node is reachable from
-        // the in-degree-0 frontier (inputs reference earlier nodes only
-        // for builder-made graphs, but deserialised graphs may not).
-        let mut indegree: Vec<usize> = self.nodes.iter().map(|n| n.inputs.len()).collect();
-        let mut queue: VecDeque<usize> = indegree
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        let mut seen = 0usize;
-        while let Some(i) = queue.pop_front() {
-            seen += 1;
-            for &c in &self.consumers[i] {
-                indegree[c.0] -= 1;
-                if indegree[c.0] == 0 {
-                    queue.push_back(c.0);
-                }
-            }
-        }
-        if seen != self.nodes.len() {
-            return Err(GraphError::Malformed(format!(
-                "cycle detected: {} of {} nodes unreachable in topological sweep",
-                self.nodes.len() - seen,
-                self.nodes.len()
-            )));
-        }
-        Ok(())
+    /// The graph's content id: equal for equal node tables, however
+    /// the graph was built or decoded.
+    #[must_use]
+    pub fn id(&self) -> GraphId {
+        *self.id.get_or_init(|| {
+            GraphId(ContentHasher::digest(&(
+                &self.name,
+                &self.nodes,
+                self.output,
+            )))
+        })
     }
 
     /// The graph's name (e.g. `"inception_v4"`).
@@ -218,7 +226,7 @@ impl Graph {
         &self.consumers[id.0]
     }
 
-    /// Nodes in a valid topological order.
+    /// Nodes in a valid topological order (Kahn's algorithm).
     ///
     /// For builder-made graphs this is simply id order (the builder only
     /// lets a node reference already-inserted nodes).
@@ -241,7 +249,6 @@ impl Graph {
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len());
         order
     }
 
@@ -332,12 +339,6 @@ impl Graph {
         out
     }
 
-    /// Consumes the graph and returns its nodes (used by
-    /// deserialisation to re-validate through [`Graph::from_parts`]).
-    pub(crate) fn into_nodes(self) -> Vec<Node> {
-        self.nodes
-    }
-
     /// Ids of the nodes assigned to `block`.
     #[must_use]
     pub fn block_nodes(&self, block: &str) -> Vec<NodeId> {
@@ -346,6 +347,34 @@ impl Graph {
             .filter(|n| n.block.as_deref() == Some(block))
             .map(|n| n.id)
             .collect()
+    }
+}
+
+/// Writes `name`, `nodes`, `consumers` and `output` — the interchange
+/// encoding. The id is not written: decoding recomputes it.
+impl Serialize for Graph {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("name".to_string(), self.name.to_content()),
+            ("nodes".to_string(), self.nodes.to_content()),
+            ("consumers".to_string(), self.consumers.to_content()),
+            ("output".to_string(), self.output.to_content()),
+        ])
+    }
+}
+
+/// Reads `name`, `nodes` and `output` and validates them through the
+/// same constructor the builder uses; any `consumers` field is ignored
+/// (the lists are rebuilt from the inputs).
+impl Deserialize for Graph {
+    fn from_content(c: &Content) -> Result<Self, serde::Error> {
+        let fields = as_map(c, "Graph")?;
+        Graph::from_parts(
+            decode_field(fields, "name", "Graph")?,
+            decode_field(fields, "nodes", "Graph")?,
+            decode_field(fields, "output", "Graph")?,
+        )
+        .map_err(serde::Error::custom)
     }
 }
 

@@ -36,6 +36,7 @@ mod builder;
 mod error;
 mod export;
 mod graph;
+mod id;
 mod op;
 mod tensor;
 
@@ -47,5 +48,6 @@ pub mod zoo;
 pub use builder::GraphBuilder;
 pub use error::GraphError;
 pub use graph::{Graph, Node, NodeId};
+pub use id::{ContentHasher, GraphId};
 pub use op::{ConvParams, FcParams, OpKind, PoolKind, PoolParams};
 pub use tensor::FeatureShape;

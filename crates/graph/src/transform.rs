@@ -175,17 +175,21 @@ mod tests {
 
     #[test]
     fn malformed_forward_reference_is_a_typed_error() {
-        // An inline graph off the serve wire deserialises without
-        // builder validation, so a node may reference an input that
-        // comes *after* it in id order. That used to panic inside
+        // Decoding validates structure, not id order: an acyclic inline
+        // graph off the serve wire may still have a node read an input
+        // that comes *after* it in id order. That used to panic inside
         // `scale_channels` (worker panic containment on the serve
         // path); it must be a typed `GraphError` instead.
-        let g = zoo::alexnet();
-        let json = serde_json::to_string(&g).expect("graphs serialise");
-        // Point conv1 (id 1) at a node far ahead of it.
-        let tampered = json.replacen("\"inputs\":[0]", "\"inputs\":[9]", 1);
+        let mut b = crate::GraphBuilder::new("fwd");
+        let x = b.input(crate::FeatureShape::new(3, 8, 8)).unwrap();
+        let l = b.conv("l", x, crate::ConvParams::pointwise(4)).unwrap();
+        let r = b.conv("r", x, crate::ConvParams::pointwise(4)).unwrap();
+        let j = b.concat("j", &[l, r]).unwrap();
+        let json = serde_json::to_string(&b.finish(j).unwrap()).expect("graphs serialise");
+        // Point `l` (id 1) at `r` (id 2), which reads only the input.
+        let tampered = json.replacen("\"inputs\":[0]", "\"inputs\":[2]", 1);
         assert_ne!(tampered, json, "tamper target not found");
-        let bad: Graph = serde_json::from_str(&tampered).expect("tampered graph still parses");
+        let bad: Graph = serde_json::from_str(&tampered).expect("acyclic graph still decodes");
         let err = scale_channels(&bad, 1, 2).expect_err("forward reference must fail");
         assert!(
             matches!(err, GraphError::Malformed(_)),

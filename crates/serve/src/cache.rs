@@ -1,11 +1,11 @@
 //! The LRU plan cache.
 //!
-//! Keys are digests of the canonical JSON fingerprint of
-//! `(graph, device, precision, options)` — computed by the server from
-//! the *resolved* request, so `"googlenet"` and `"gn"` hit the same
-//! entry. Values are **pre-serialized** plan JSON strings: a hit
-//! replays the stored bytes verbatim, which is what makes duplicate
-//! responses byte-identical regardless of when they were computed.
+//! Keys are 128-bit content digests of `(GraphId, device, precision,
+//! options)` — computed by the server from the *resolved* request, so
+//! `"googlenet"` and `"gn"` hit the same entry. Values are
+//! **pre-serialized** plan JSON strings: a hit replays the stored bytes
+//! verbatim, which is what makes duplicate responses byte-identical
+//! regardless of when they were computed.
 
 use crate::lock_safe;
 use std::collections::HashMap;
@@ -115,12 +115,31 @@ impl PlanCache {
     /// for every tenant, so a registry change evicts exactly the
     /// co-plans that inlined the mutated model.
     pub fn put_tagged(&self, key: String, value: String, tags: Vec<String>) {
+        let evicted = self.insert(key, value, tags);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+    }
+
+    /// Drops every entry carrying `tag` and returns how many were
+    /// removed. Each dropped entry bumps the `invalidations` counter
+    /// exactly once, however many tags it carried — the counter tracks
+    /// evicted entries, not tag matches.
+    pub fn invalidate_tag(&self, tag: &str) -> usize {
+        let removed = self.remove_tagged(tag);
+        self.invalidations
+            .fetch_add(removed as u64, Ordering::Relaxed);
+        removed
+    }
+
+    /// Stores an entry, evicting least-recently-used entries past
+    /// capacity; returns how many were evicted.
+    fn insert(&self, key: String, value: String, tags: Vec<String>) -> u64 {
         if self.capacity == 0 {
-            return;
+            return 0;
         }
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
         let mut map = lock_safe(&self.map);
         map.insert(key, Entry { value, stamp, tags });
+        let mut evicted = 0;
         while map.len() > self.capacity {
             let Some(oldest) = map
                 .iter()
@@ -130,41 +149,17 @@ impl PlanCache {
                 break;
             };
             map.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            evicted += 1;
         }
+        evicted
     }
 
-    /// Drops every entry whose key starts with `prefix` and returns how
-    /// many were removed. The server invalidates `coplan:`-prefixed
-    /// entries on registry changes; their keys also carry the registry
-    /// digest, so this reclaims space rather than preventing stale hits.
-    pub fn invalidate_prefix(&self, prefix: &str) -> usize {
-        let mut map = lock_safe(&self.map);
-        let stale: Vec<String> = map
-            .keys()
-            .filter(|k| k.starts_with(prefix))
-            .cloned()
-            .collect();
-        for key in &stale {
-            map.remove(key);
-        }
-        self.invalidations
-            .fetch_add(stale.len() as u64, Ordering::Relaxed);
-        stale.len()
-    }
-
-    /// Drops every entry carrying `tag` and returns how many were
-    /// removed. Each dropped entry bumps the `invalidations` counter
-    /// exactly once, however many tags it carried — the counter tracks
-    /// evicted entries, not tag matches.
-    pub fn invalidate_tag(&self, tag: &str) -> usize {
+    /// Drops every entry carrying `tag`, returning how many there were.
+    fn remove_tagged(&self, tag: &str) -> usize {
         let mut map = lock_safe(&self.map);
         let before = map.len();
         map.retain(|_, e| !e.tags.iter().any(|t| t == tag));
-        let removed = before - map.len();
-        self.invalidations
-            .fetch_add(removed as u64, Ordering::Relaxed);
-        removed
+        before - map.len()
     }
 
     /// Dumps every entry as `(key, value, tags)` in LRU order (least
@@ -187,29 +182,13 @@ impl PlanCache {
     /// restart are honoured) but without disturbing the hit/miss/
     /// eviction counters, which describe this process's traffic only.
     pub fn replay_put(&self, key: String, value: String, tags: Vec<String>) {
-        if self.capacity == 0 {
-            return;
-        }
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let mut map = lock_safe(&self.map);
-        map.insert(key, Entry { value, stamp, tags });
-        while map.len() > self.capacity {
-            let Some(oldest) = map
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            map.remove(&oldest);
-        }
+        self.insert(key, value, tags);
     }
 
     /// [`PlanCache::invalidate_tag`] for WAL replay: drops the entries
     /// without bumping the `invalidations` counter.
     pub fn replay_invalidate_tag(&self, tag: &str) {
-        let mut map = lock_safe(&self.map);
-        map.retain(|_, e| !e.tags.iter().any(|t| t == tag));
+        self.remove_tagged(tag);
     }
 
     /// Current counters.
@@ -255,23 +234,6 @@ mod tests {
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 1);
         assert_eq!(s.invalidations, 0);
-    }
-
-    #[test]
-    fn prefix_invalidation_counts_and_spares_other_keys() {
-        let c = PlanCache::new(8);
-        c.put("coplan:x".into(), "X".into());
-        c.put("coplan:y".into(), "Y".into());
-        c.put("plan:z".into(), "Z".into());
-        assert_eq!(c.invalidate_prefix("coplan:"), 2);
-        assert!(c.get("coplan:x").is_none());
-        assert!(c.get("plan:z").is_some());
-        let s = c.counters();
-        assert_eq!(s.invalidations, 2);
-        assert_eq!(s.evictions, 0);
-        assert_eq!(s.entries, 1);
-        // Idempotent: nothing left to drop.
-        assert_eq!(c.invalidate_prefix("coplan:"), 0);
     }
 
     #[test]

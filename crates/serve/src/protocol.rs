@@ -457,9 +457,6 @@ fn parse_graph_spec(v: &Value) -> Result<GraphSpec, String> {
         "inline" => {
             let graph: Graph = serde_json::from_value(inner)
                 .map_err(|e| format!("graph.inline does not decode as a graph: {e}"))?;
-            if graph.is_empty() {
-                return Err("graph.inline is empty".to_string());
-            }
             Ok(GraphSpec::Inline(Box::new(graph)))
         }
         other => Err(format!("unknown graph spec kind {other:?}")),
@@ -924,6 +921,11 @@ mod tests {
         let resolved = r.resolve_plan().expect("resolves");
         assert_eq!(resolved.graph.len(), g.len());
         assert_eq!(resolved.graph.name(), "alexnet");
+        // The wire decode lands on the same content id as the zoo build
+        // and a pretty-JSON round trip.
+        assert_eq!(resolved.graph.id(), g.id());
+        let round_trip = lcmm_graph::Graph::from_json(&g.to_json().unwrap()).unwrap();
+        assert_eq!(round_trip.id(), g.id());
     }
 
     #[test]

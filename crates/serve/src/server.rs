@@ -24,6 +24,7 @@
 //!   replayed bit-identically on restart.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::Hash;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -34,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use lcmm_core::{CancelToken, Harness, LcmmError, PassStats};
 use lcmm_fpga::{Device, Precision};
-use lcmm_graph::Graph;
+use lcmm_graph::{ContentHasher, Graph};
 use lcmm_multi::{coplan, coplan_summary, CoplanOptions, TenantSpec};
 use lcmm_workload::ControllerConfig;
 use serde_json::Value;
@@ -251,21 +252,36 @@ struct Histograms {
 
 /// One registered tenant: the resolved graph plus its co-planning
 /// parameters, keyed by model name in the registry.
+///
+/// Registry churn is judged by `graph.id()`: only a *content* change
+/// invalidates the harness's pass artifacts for the old graph.
 #[derive(Clone)]
 struct Registered {
     graph: Graph,
-    /// Digest of the graph's canonical JSON — the identity registry
-    /// churn is judged by: only a *content* change invalidates the
-    /// harness's pass artifacts for the old graph.
-    graph_digest: String,
     precision: Precision,
     weight: f64,
     share: Option<f64>,
 }
 
-/// Digest of a graph's canonical JSON fingerprint.
-fn graph_digest(graph: &Graph) -> String {
-    digest(&serde_json::to_string(graph).unwrap_or_default())
+impl Registered {
+    /// The WAL record that registers `self` as `model`.
+    fn wal_record(&self, model: &str) -> WalRecord {
+        WalRecord::Register {
+            model: model.to_string(),
+            graph_json: serde_json::to_string(&self.graph).unwrap_or_default(),
+            precision: precision_name(self.precision).to_string(),
+            weight: self.weight,
+            share: self.share,
+        }
+    }
+
+    /// Whether re-registering `self` over `old` changes nothing.
+    fn same_as(&self, old: &Registered) -> bool {
+        self.graph.id() == old.graph.id()
+            && self.precision == old.precision
+            && self.weight == old.weight
+            && self.share == old.share
+    }
 }
 
 /// The invalidation tag carried by every cached co-plan that inlined
@@ -546,50 +562,33 @@ impl Server {
             }
         }
         let entry = Registered {
-            graph_digest: graph_digest(&graph),
             graph,
             precision,
             weight,
             share: request.share,
         };
-        let record = WalRecord::Register {
-            model: model.clone(),
-            graph_json: serde_json::to_string(&entry.graph).unwrap_or_default(),
-            precision: precision_name(entry.precision).to_string(),
-            weight: entry.weight,
-            share: entry.share,
-        };
+        let record = entry.wal_record(&model);
         let inner = &self.inner;
         let models = durably(inner, || {
-            let (models, previous, digest_still_used) = {
+            let (models, previous, graph_still_used) = {
                 let mut registry = lock_safe(&inner.registry);
                 let previous = registry.insert(model.clone(), entry.clone());
-                let digest_still_used = previous.as_ref().is_some_and(|old| {
-                    registry
-                        .values()
-                        .any(|r| r.graph_digest == old.graph_digest)
-                });
-                (registry.len() as u64, previous, digest_still_used)
+                let graph_still_used = previous
+                    .as_ref()
+                    .is_some_and(|old| registry.values().any(|r| r.graph.id() == old.graph.id()));
+                (registry.len() as u64, previous, graph_still_used)
             };
-            let identical = previous.as_ref().is_some_and(|old| {
-                old.graph_digest == entry.graph_digest
-                    && old.precision == entry.precision
-                    && old.weight == entry.weight
-                    && old.share == entry.share
-            });
+            let identical = previous.as_ref().is_some_and(|old| entry.same_as(old));
             if !identical {
                 // Only co-plans that inlined this model are stale; plans
                 // of other tenant sets (and content-addressed
                 // single-model `plan` entries) survive.
                 inner.cache.invalidate_tag(&model_tag(&model));
                 // Pass artifacts are keyed by graph content, so they go
-                // stale only when the model's graph *content* changed
-                // and no other registered model still uses the old
-                // graph.
-                if let Some(old) = previous {
-                    if old.graph_digest != entry.graph_digest && !digest_still_used {
-                        inner.harness.invalidate_graph(&old.graph);
-                    }
+                // stale only when no registered model still uses the old
+                // graph (a same-content re-register always does).
+                if let Some(old) = previous.filter(|_| !graph_still_used) {
+                    inner.harness.invalidate_graph(&old.graph);
                 }
             }
             (models, Some(record))
@@ -617,22 +616,20 @@ impl Server {
         };
         let inner = &self.inner;
         let (removed, models) = durably(inner, || {
-            let (removed, models, digest_still_used) = {
+            let (removed, models, graph_still_used) = {
                 let mut registry = lock_safe(&inner.registry);
                 let removed = registry.remove(&model);
-                let digest_still_used = removed.as_ref().is_some_and(|old| {
-                    registry
-                        .values()
-                        .any(|r| r.graph_digest == old.graph_digest)
-                });
-                (removed, registry.len() as u64, digest_still_used)
+                let graph_still_used = removed
+                    .as_ref()
+                    .is_some_and(|old| registry.values().any(|r| r.graph.id() == old.graph.id()));
+                (removed, registry.len() as u64, graph_still_used)
             };
             let Some(old) = removed else {
                 // Nothing changed: nothing to log.
                 return ((false, models), None);
             };
             inner.cache.invalidate_tag(&model_tag(&model));
-            if !digest_still_used {
+            if !graph_still_used {
                 inner.harness.invalidate_graph(&old.graph);
             }
             (
@@ -931,13 +928,7 @@ fn snapshot_records(inner: &Inner) -> Vec<WalRecord> {
     {
         let registry = lock_safe(&inner.registry);
         for (name, r) in registry.iter() {
-            out.push(WalRecord::Register {
-                model: name.clone(),
-                graph_json: serde_json::to_string(&r.graph).unwrap_or_default(),
-                precision: precision_name(r.precision).to_string(),
-                weight: r.weight,
-                share: r.share,
-            });
+            out.push(r.wal_record(name));
         }
     }
     for (key, value, tags) in inner.cache.dump() {
@@ -968,19 +959,13 @@ fn apply_replayed(inner: &Inner, record: WalRecord) {
                 return;
             };
             let entry = Registered {
-                graph_digest: graph_digest(&graph),
                 graph,
                 precision,
                 weight,
                 share,
             };
             let previous = lock_safe(&inner.registry).insert(model.clone(), entry.clone());
-            let identical = previous.as_ref().is_some_and(|old| {
-                old.graph_digest == entry.graph_digest
-                    && old.precision == entry.precision
-                    && old.weight == entry.weight
-                    && old.share == entry.share
-            });
+            let identical = previous.as_ref().is_some_and(|old| entry.same_as(old));
             if !identical {
                 inner.cache.replay_invalidate_tag(&model_tag(&model));
             }
@@ -1139,67 +1124,91 @@ fn watcher_loop(inner: &Arc<Inner>, budget: Duration) {
 /// invalidate.
 const COPLAN_KEY_PREFIX: &str = "coplan:";
 
-/// Digest of a canonical fingerprint string. Two hex-encoded FNV-1a
-/// passes with independent offsets make accidental collisions (~2⁻¹²⁸)
-/// a non-concern while keeping keys small even for inline
-/// thousand-node graphs.
-fn digest(fingerprint: &str) -> String {
-    let fnv = |offset: u64| -> u64 {
-        let mut hash = offset;
-        for byte in fingerprint.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
-    };
-    format!(
-        "{:016x}{:016x}:{}",
-        fnv(0xcbf2_9ce4_8422_2325),
-        fnv(0x6c62_272e_07bb_0142),
-        fingerprint.len()
-    )
+/// Compact JSON of a small (non-graph) key part.
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).unwrap_or_default()
 }
 
-/// Cache key of a single-model plan: digest of the canonical JSON
-/// fingerprint of the resolved request.
+/// Cache key of `parts`: their 128-bit [`ContentHasher`] digest in hex.
+/// Graphs enter through their `GraphId`, the other parts as compact
+/// JSON, so no key ever serialises a graph.
+fn content_key(parts: &impl Hash) -> String {
+    format!("{:032x}", ContentHasher::digest(parts))
+}
+
+/// Cache key of a single-model plan: the resolved graph's id plus
+/// device, precision and options.
 fn cache_key(resolved: &ResolvedPlan) -> String {
-    let fingerprint = format!(
-        "{}\u{1}{}\u{1}{}\u{1}{}",
-        serde_json::to_string(&resolved.graph).unwrap_or_default(),
-        serde_json::to_string(&resolved.device).unwrap_or_default(),
-        serde_json::to_string(&resolved.precision).unwrap_or_default(),
-        serde_json::to_string(&resolved.options).unwrap_or_default(),
-    );
-    digest(&fingerprint)
+    content_key(&(
+        resolved.graph.id(),
+        json(&resolved.device),
+        json(&resolved.precision),
+        json(&resolved.options),
+    ))
 }
 
 /// Cache key of a co-plan: covers the *full tenant set* — every
-/// registered model's name, graph, precision, weight and share — plus
-/// the device and options, so any registry change resolves to a new
-/// key (a forced miss) even before the explicit prefix invalidation
-/// reclaims the stale entries.
+/// registered model's name, graph id, precision, weight and share —
+/// plus the device and options, so any registry change resolves to a
+/// new key (a forced miss) even before tag invalidation reclaims the
+/// stale entries.
 fn coplan_cache_key(
     registry: &[(String, Registered)],
     device: &Device,
     opts: &CoplanOptions,
 ) -> String {
-    let mut fingerprint = String::new();
-    for (name, r) in registry {
-        fingerprint.push_str(&format!(
-            "{}\u{1}{}\u{1}{}\u{1}{}\u{1}{:?}\u{2}",
-            name,
-            serde_json::to_string(&r.graph).unwrap_or_default(),
-            serde_json::to_string(&r.precision).unwrap_or_default(),
-            r.weight,
-            r.share,
-        ));
+    let tenants: Vec<_> = registry
+        .iter()
+        .map(|(name, r)| {
+            (
+                name,
+                r.graph.id(),
+                json(&r.precision),
+                r.weight.to_bits(),
+                r.share.map(f64::to_bits),
+            )
+        })
+        .collect();
+    let key = content_key(&(tenants, json(device), json(opts)));
+    format!("{COPLAN_KEY_PREFIX}{key}")
+}
+
+/// Counts a completed plan-envelope answer (plan, co-plan, route,
+/// workload) and encodes its line.
+fn answer_plan(
+    inner: &Inner,
+    request: &WireRequest,
+    plan: Value,
+    cached: bool,
+    pass_stats: Option<Value>,
+) -> String {
+    inner.plans_completed.fetch_add(1, Ordering::Relaxed);
+    WireResponse::Plan {
+        id: request.id,
+        plan,
+        cached,
+        pass_stats,
     }
-    fingerprint.push_str(&format!(
-        "{}\u{1}{}",
-        serde_json::to_string(device).unwrap_or_default(),
-        serde_json::to_string(opts).unwrap_or_default(),
-    ));
-    format!("{COPLAN_KEY_PREFIX}{}", digest(&fingerprint))
+    .to_line_v(request.v)
+}
+
+/// A cached payload as JSON; stored bytes that do not parse replay as
+/// a string.
+fn stored_value(stored: String) -> Value {
+    serde_json::from_str(&stored).unwrap_or(Value::Str(stored))
+}
+
+/// Caches a computed payload under `key` with invalidation `tags`,
+/// WAL-logging the insertion.
+fn store(inner: &Inner, key: String, stored: String, tags: Vec<String>) {
+    let record = WalRecord::PlanPut {
+        key: key.clone(),
+        value: stored.clone(),
+        tags: tags.clone(),
+    };
+    durably(inner, || {
+        (inner.cache.put_tagged(key, stored, tags), Some(record))
+    });
 }
 
 /// The routed slice of a co-plan summary: the entry of `tenants` whose
@@ -1247,18 +1256,7 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
     }
     let key = cache_key(&resolved);
     if let Some(stored) = inner.cache.get(&key) {
-        let plan = match serde_json::from_str::<Value>(&stored) {
-            Ok(plan) => plan,
-            Err(_) => Value::Str(stored),
-        };
-        inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan,
-            cached: true,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        return answer_plan(inner, request, stored_value(stored), true, None);
     }
     let design =
         match inner
@@ -1281,22 +1279,11 @@ fn process_plan(inner: &Arc<Inner>, job: &Job) -> String {
     record_pass_stats(inner, &result.stats);
     let plan = plan_summary(&resolved, &result, &umm);
     let stored = serde_json::to_string(&plan).expect("plan summary serialises");
-    let record = WalRecord::PlanPut {
-        key: key.clone(),
-        value: stored.clone(),
-        tags: Vec::new(),
-    };
-    durably(inner, || (inner.cache.put(key, stored), Some(record)));
-    inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-    WireResponse::Plan {
-        id: request.id,
-        plan,
-        cached: false,
-        pass_stats: request
-            .include_stats
-            .then(|| pass_stats_value(&result.stats)),
-    }
-    .to_line_v(request.v)
+    store(inner, key, stored, Vec::new());
+    let stats = request
+        .include_stats
+        .then(|| pass_stats_value(&result.stats));
+    answer_plan(inner, request, plan, false, stats)
 }
 
 /// Executes one `debug:` fault-injection hook (only reachable when
@@ -1336,17 +1323,11 @@ fn run_debug_hook(inner: &Arc<Inner>, job: &Job, hook: &str) -> String {
             }
             std::thread::sleep(Duration::from_millis(2));
         }
-        inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan: Value::Map(vec![(
-                "debug".to_string(),
-                Value::Str(format!("stalled {ms}ms")),
-            )]),
-            cached: false,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        let plan = Value::Map(vec![(
+            "debug".to_string(),
+            Value::Str(format!("stalled {ms}ms")),
+        )]);
+        return answer_plan(inner, request, plan, false, None);
     }
     inner.plans_errored.fetch_add(1, Ordering::Relaxed);
     WireResponse::from_error(
@@ -1403,10 +1384,7 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
     let opts = CoplanOptions::default().with_options(options);
     let key = coplan_cache_key(&registry, &device, &opts);
     if let Some(stored) = inner.cache.get(&key) {
-        let full: Value = match serde_json::from_str(&stored) {
-            Ok(full) => full,
-            Err(_) => Value::Str(stored),
-        };
+        let full = stored_value(stored);
         let plan = match &route_model {
             Some(m) => match tenant_slice(&full, m) {
                 Some(slice) => slice,
@@ -1416,14 +1394,7 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
             },
             None => full,
         };
-        inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan,
-            cached: true,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        return answer_plan(inner, request, plan, true, None);
     }
     if let Err(err) = job.cancel.check() {
         return answer_err(&err);
@@ -1446,26 +1417,12 @@ fn process_coplan(inner: &Arc<Inner>, job: &Job) -> String {
     let summary = coplan_summary(&plan);
     let stored = serde_json::to_string(&summary).expect("co-plan summary serialises");
     let tags: Vec<String> = registry.iter().map(|(name, _)| model_tag(name)).collect();
-    let record = WalRecord::PlanPut {
-        key: key.clone(),
-        value: stored.clone(),
-        tags: tags.clone(),
-    };
-    durably(inner, || {
-        (inner.cache.put_tagged(key, stored, tags), Some(record))
-    });
-    inner.plans_completed.fetch_add(1, Ordering::Relaxed);
+    store(inner, key, stored, tags);
     let payload = match &route_model {
         Some(m) => tenant_slice(&summary, m).expect("routed model is a tenant"),
         None => summary,
     };
-    WireResponse::Plan {
-        id: request.id,
-        plan: payload,
-        cached: false,
-        pass_stats: None,
-    }
-    .to_line_v(request.v)
+    answer_plan(inner, request, payload, false, None)
 }
 
 /// Key prefix of cached workload reports.
@@ -1517,28 +1474,21 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
     let controller = ControllerConfig::default().with_enabled(request.controller.unwrap_or(true));
     let cacheable = trace == "bursty2" || trace.contains(':');
     let key = cacheable.then(|| {
-        let fingerprint = format!(
-            "{models}\u{1}{}\u{1}{}\u{1}{}\u{1}{trace}\u{1}{}\u{1}{steps}",
-            serde_json::to_string(&precision).unwrap_or_default(),
-            serde_json::to_string(&device).unwrap_or_default(),
-            serde_json::to_string(&opts.options).unwrap_or_default(),
+        let ids: Vec<_> = tenants.iter().map(|t| t.graph.id()).collect();
+        let key = content_key(&(
+            models,
+            ids,
+            json(&precision),
+            json(&device),
+            json(&opts.options),
+            trace,
             controller.enabled,
-        );
-        format!("{WORKLOAD_KEY_PREFIX}{}", digest(&fingerprint))
+            steps,
+        ));
+        format!("{WORKLOAD_KEY_PREFIX}{key}")
     });
     if let Some(stored) = key.as_ref().and_then(|k| inner.cache.get(k)) {
-        let plan = match serde_json::from_str::<Value>(&stored) {
-            Ok(plan) => plan,
-            Err(_) => Value::Str(stored),
-        };
-        inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-        return WireResponse::Plan {
-            id: request.id,
-            plan,
-            cached: true,
-            pass_stats: None,
-        }
-        .to_line_v(request.v);
+        return answer_plan(inner, request, stored_value(stored), true, None);
     }
     if let Err(err) = job.cancel.check() {
         return answer_err(&err);
@@ -1556,21 +1506,9 @@ fn process_workload(inner: &Arc<Inner>, job: &Job) -> String {
     };
     if let Some(key) = key {
         let stored = serde_json::to_string(&report).expect("workload report serialises");
-        let record = WalRecord::PlanPut {
-            key: key.clone(),
-            value: stored.clone(),
-            tags: Vec::new(),
-        };
-        durably(inner, || (inner.cache.put(key, stored), Some(record)));
+        store(inner, key, stored, Vec::new());
     }
-    inner.plans_completed.fetch_add(1, Ordering::Relaxed);
-    WireResponse::Plan {
-        id: request.id,
-        plan: report,
-        cached: false,
-        pass_stats: None,
-    }
-    .to_line_v(request.v)
+    answer_plan(inner, request, report, false, None)
 }
 
 /// Folds one computed run's pass timings into the `/stats` histograms.

@@ -33,9 +33,11 @@
 //! records on power loss — replay still recovers a consistent prefix.
 
 use std::fs::{self, File, OpenOptions};
+use std::hash::Hasher;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use lcmm_graph::ContentHasher;
 use serde_json::Value;
 
 /// Name of the append-only log file inside the WAL directory.
@@ -185,16 +187,12 @@ impl WalRecord {
     }
 }
 
-/// FNV-1a over the payload — the frame checksum. Deliberately the same
-/// construction the server uses for cache-key digests: cheap, stable,
-/// and dependency-free.
+/// 64-bit FNV-1a over the payload — the frame checksum: the first lane
+/// of the shared [`ContentHasher`] that also builds cache keys.
 fn checksum(payload: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in payload {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hasher = ContentHasher::default();
+    hasher.write(payload);
+    hasher.finish()
 }
 
 /// Frames one record into `out`.

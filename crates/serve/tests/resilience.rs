@@ -98,3 +98,80 @@ fn stalled_worker_is_recycled_with_a_typed_error() {
     assert_eq!(stat_u64(&server, "health", "recycled"), 1);
     server.shutdown();
 }
+
+/// A plan request line for `json` sent as an inline graph.
+fn inline_plan(json: &str) -> String {
+    format!(r#"{{"id":1,"graph":{{"inline":{json}}}}}"#)
+}
+
+/// Compact JSON of alexnet, as `lcmm export --json` encodes it.
+fn alexnet_json() -> String {
+    serde_json::to_string(&lcmm_graph::zoo::alexnet()).expect("graph serialises")
+}
+
+/// Alexnet's JSON with the first `from` replaced by `to`.
+fn edited(from: &str, to: &str) -> String {
+    let json = alexnet_json();
+    let out = json.replacen(from, to, 1);
+    assert_ne!(out, json, "edit target {from} not found");
+    out
+}
+
+/// Alexnet's JSON with the span from its top-level `field` up to the
+/// graph's trailing `output` id replaced by `field` = `value` (the
+/// output id is the last field of the encoding).
+fn with_tail(field: &str, value: &str) -> String {
+    let json = alexnet_json();
+    let at = json
+        .rfind(&format!(r#","{field}":"#))
+        .expect("field present");
+    let tail = if field == "output" {
+        "}"
+    } else {
+        &json[json.rfind(r#","output":"#).unwrap()..]
+    };
+    format!(r#"{},"{field}":{value}{tail}"#, &json[..at])
+}
+
+#[test]
+fn malformed_inline_graphs_are_typed_errors_not_panics() {
+    let server = Server::start(ServerConfig::default().with_workers(2));
+    let malformed = [
+        (
+            "dangling input id",
+            edited(r#""inputs":[0]"#, r#""inputs":[99]"#),
+        ),
+        ("dangling output id", with_tail("output", "99")),
+        ("cycle", edited(r#""inputs":[0]"#, r#""inputs":[3]"#)),
+        ("node id not its index", edited(r#""id":2,"#, r#""id":7,"#)),
+    ];
+    for (what, json) in &malformed {
+        let reply = server.handle_line(&inline_plan(json));
+        assert_eq!(
+            error_code(&reply).as_deref(),
+            Some("bad_request"),
+            "{what}: {reply}"
+        );
+    }
+    // Rejected at decode, before any worker saw them: the pool is
+    // intact and keeps planning.
+    assert_eq!(stat_u64(&server, "requests", "errors"), 0);
+    let ok = server.handle_line(r#"{"graph":"alexnet"}"#);
+    assert!(ok.contains("\"ok\":true"), "{ok}");
+    server.shutdown();
+}
+
+#[test]
+fn inline_consumer_lists_are_rebuilt_not_trusted() {
+    // Consumers are derived from inputs: an emptied list plans to the
+    // same bytes as the valid graph.
+    let answer = |json: &str| {
+        let server = Server::start(ServerConfig::default().with_workers(1));
+        let reply = server.handle_line(&inline_plan(json));
+        server.shutdown();
+        reply
+    };
+    let emptied = answer(&with_tail("consumers", "[]"));
+    assert!(emptied.contains("\"ok\":true"), "{emptied}");
+    assert_eq!(emptied, answer(&alexnet_json()));
+}
