@@ -37,6 +37,11 @@ else
   # tests and the per-crate property tests live in the workspace.
   echo "==> cargo test --workspace"
   cargo test --offline --workspace -q
+  # The benchmark is a package of its own, outside the workspace: its
+  # self-tests build it against the crates' public API, so an API change
+  # it depends on fails here rather than in a benchmark run.
+  echo "==> cargo test (perfbench)"
+  cargo test --offline --manifest-path perfbench/Cargo.toml -q
 fi
 
 echo "==> determinism: report output must be byte-identical across --jobs"

@@ -355,18 +355,16 @@ mod tests {
 
     #[test]
     fn same_name_and_size_is_not_the_same_graph() {
-        // One conv stride changed: same name, same node count.
+        // One conv padding changed: same name, same node count, and
+        // conv1 still derives its stored 55x55 output, so it decodes.
         let g = zoo::alexnet();
         let json = serde_json::to_string(&g).unwrap();
         let conv1 = json.find("\"name\":\"conv1\"").expect("conv1 present");
-        let stride = conv1
-            + json[conv1..]
-                .find("\"stride_h\":4")
-                .expect("conv1 stride 4");
+        let pad = conv1 + json[conv1..].find("\"pad_h\":2").expect("conv1 pad 2");
         let edited = format!(
-            "{}\"stride_h\":5{}",
-            &json[..stride],
-            &json[stride + "\"stride_h\":4".len()..]
+            "{}\"pad_h\":3{}",
+            &json[..pad],
+            &json[pad + "\"pad_h\":2".len()..]
         );
         let other: Graph = serde_json::from_str(&edited).unwrap();
         assert_eq!((other.name(), other.len()), (g.name(), g.len()));

@@ -62,6 +62,22 @@ impl GraphBuilder {
         self.current_block = None;
     }
 
+    /// Adds a derived node: its output shape is what `op` derives from
+    /// the shapes of `inputs` ([`OpKind::derive_output`]).
+    fn add(&mut self, name: String, op: OpKind, inputs: Vec<NodeId>) -> Result<NodeId, GraphError> {
+        let output = if let [from] = inputs[..] {
+            op.derive_output(&[self.shape_of(from)?])?
+        } else {
+            let shapes = inputs
+                .iter()
+                .map(|&i| self.shape_of(i))
+                .collect::<Result<Vec<_>, _>>()?;
+            op.derive_output(&shapes)?
+        };
+        self.push(name, op, inputs, output)
+    }
+
+    /// Appends a node whose inputs exist and whose shape is settled.
     fn push(
         &mut self,
         name: String,
@@ -69,11 +85,6 @@ impl GraphBuilder {
         inputs: Vec<NodeId>,
         output: FeatureShape,
     ) -> Result<NodeId, GraphError> {
-        for &i in &inputs {
-            if i.0 >= self.nodes.len() {
-                return Err(GraphError::UnknownNode(i.0));
-            }
-        }
         if !self.names.insert(name.clone()) {
             return Err(GraphError::Malformed(format!(
                 "duplicate layer name {name:?}"
@@ -126,9 +137,7 @@ impl GraphBuilder {
         from: NodeId,
         params: ConvParams,
     ) -> Result<NodeId, GraphError> {
-        let input = self.shape_of(from)?;
-        let output = params.output_shape(input)?;
-        self.push(name.into(), OpKind::Conv(params), vec![from], output)
+        self.add(name.into(), OpKind::Conv(params), vec![from])
     }
 
     /// Adds a max-pooling layer.
@@ -187,9 +196,7 @@ impl GraphBuilder {
         from: NodeId,
         params: PoolParams,
     ) -> Result<NodeId, GraphError> {
-        let input = self.shape_of(from)?;
-        let output = params.output_shape(input)?;
-        self.push(name.into(), OpKind::Pool(params), vec![from], output)
+        self.add(name.into(), OpKind::Pool(params), vec![from])
     }
 
     /// Adds a global average pooling layer (`C×H×W -> C×1×1`).
@@ -202,9 +209,7 @@ impl GraphBuilder {
         name: impl Into<String>,
         from: NodeId,
     ) -> Result<NodeId, GraphError> {
-        let input = self.shape_of(from)?;
-        let output = FeatureShape::vector(input.channels);
-        self.push(name.into(), OpKind::GlobalAvgPool, vec![from], output)
+        self.add(name.into(), OpKind::GlobalAvgPool, vec![from])
     }
 
     /// Adds a fully-connected layer.
@@ -218,17 +223,10 @@ impl GraphBuilder {
         from: NodeId,
         out_features: usize,
     ) -> Result<NodeId, GraphError> {
-        if out_features == 0 {
-            return Err(GraphError::InvalidParams(
-                "fc out_features must be nonzero".into(),
-            ));
-        }
-        let output = FeatureShape::vector(out_features);
-        self.push(
+        self.add(
             name.into(),
             OpKind::Fc(FcParams { out_features }),
             vec![from],
-            output,
         )
     }
 
@@ -243,24 +241,7 @@ impl GraphBuilder {
         name: impl Into<String>,
         from: &[NodeId],
     ) -> Result<NodeId, GraphError> {
-        if from.len() < 2 {
-            return Err(GraphError::Malformed(
-                "concat needs at least two inputs".into(),
-            ));
-        }
-        let first = self.shape_of(from[0])?;
-        let mut channels = 0usize;
-        for &id in from {
-            let s = self.shape_of(id)?;
-            if !s.same_spatial(&first) {
-                return Err(GraphError::ShapeMismatch(format!(
-                    "concat inputs {first} vs {s} differ spatially"
-                )));
-            }
-            channels += s.channels;
-        }
-        let output = first.with_channels(channels);
-        self.push(name.into(), OpKind::Concat, from.to_vec(), output)
+        self.add(name.into(), OpKind::Concat, from.to_vec())
     }
 
     /// Adds an element-wise addition node (residual join) over `from`
@@ -274,21 +255,7 @@ impl GraphBuilder {
         name: impl Into<String>,
         from: &[NodeId],
     ) -> Result<NodeId, GraphError> {
-        if from.len() < 2 {
-            return Err(GraphError::Malformed(
-                "eltwise add needs at least two inputs".into(),
-            ));
-        }
-        let first = self.shape_of(from[0])?;
-        for &id in from {
-            let s = self.shape_of(id)?;
-            if s != first {
-                return Err(GraphError::ShapeMismatch(format!(
-                    "eltwise inputs {first} vs {s} differ"
-                )));
-            }
-        }
-        self.push(name.into(), OpKind::EltwiseAdd, from.to_vec(), first)
+        self.add(name.into(), OpKind::EltwiseAdd, from.to_vec())
     }
 
     /// Number of nodes added so far.

@@ -159,6 +159,44 @@ mod tests {
     }
 
     #[test]
+    fn every_zoo_export_decodes_to_the_same_id() {
+        let mut graphs = zoo::full_zoo();
+        graphs.push(zoo::by_name("synthetic:64x3x7").unwrap());
+        for g in &graphs {
+            let back = Graph::from_json(&g.to_json().unwrap()).expect("exports decode");
+            assert_eq!(back.id(), g.id(), "{}", g.name());
+        }
+    }
+
+    #[test]
+    fn decoding_rejects_what_the_builder_would_not_build() {
+        let json = serde_json::to_string(&zoo::alexnet()).expect("serialises");
+        let tampered = [
+            // conv1 at stride 5 derives 44x44, not the stored 55x55.
+            (r#""stride_h":4"#, r#""stride_h":5"#, "derives"),
+            (
+                r#""name":"conv2""#,
+                r#""name":"conv1""#,
+                "duplicate layer name",
+            ),
+            // fc8 at 999 features derives a 999-vector, not the stored 1000.
+            (r#""out_features":1000"#, r#""out_features":999"#, "derives"),
+        ];
+        for (from, to, expect) in tampered {
+            let edited = json.replacen(from, to, 1);
+            assert_ne!(edited, json, "edit target {from} not found");
+            let err = Graph::from_json(&edited).expect_err(to);
+            assert!(err.to_string().contains(expect), "{to}: {err}");
+        }
+        let input = r#"{"op":"Input","output":{"channels":3,"height":8,"width":8},"block":null"#;
+        let second_input = format!(
+            r#"{{"name":"t","nodes":[{input},"id":0,"name":"x","inputs":[]}},{input},"id":1,"name":"y","inputs":[0]}}],"output":1}}"#
+        );
+        let err = Graph::from_json(&second_input).expect_err("input nodes read nothing");
+        assert!(err.to_string().contains("reads other nodes"), "{err}");
+    }
+
+    #[test]
     fn from_json_rejects_cycles() {
         // Hand-craft a cyclic graph JSON by round-tripping a valid one
         // and corrupting an edge.

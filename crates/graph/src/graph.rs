@@ -6,9 +6,9 @@ use crate::tensor::FeatureShape;
 use crate::GraphError;
 use serde::content::{as_map, decode_field};
 use serde::{Content, Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node within one [`Graph`].
 ///
@@ -95,15 +95,27 @@ impl Node {
 ///
 /// Construct one with [`crate::GraphBuilder`] or decode one from JSON;
 /// both routes validate the structure (dense ids, known inputs,
-/// acyclicity), so every `Graph` in existence is well-formed. Its
-/// [`GraphId`] is computed once, on first use.
+/// acyclicity), so every `Graph` in existence is well-formed. A `Graph`
+/// is a handle on `Arc`-shared, never-mutated parts: cloning it bumps
+/// reference counts, and every clone shares one [`GraphId`], computed
+/// once, on first use.
 #[derive(Debug, Clone)]
 pub struct Graph {
-    name: String,
-    nodes: Vec<Node>,
+    /// The node table, held as a fat pointer in the handle itself so
+    /// that indexing it costs what indexing a `Vec` field does: an
+    /// `Arc` of one body holding the table would add a dependent load
+    /// to every accessor on the planner's hot paths.
+    nodes: Arc<[Node]>,
     /// consumers[i] = ids of nodes that read node i's output.
-    consumers: Vec<Vec<NodeId>>,
+    consumers: Arc<[Vec<NodeId>]>,
     output: NodeId,
+    meta: Arc<Meta>,
+}
+
+/// The rarely read, shared parts of a [`Graph`].
+#[derive(Debug)]
+struct Meta {
+    name: String,
     /// Filled by the first [`Graph::id`] call: callers that never key
     /// or compare graphs (the planner itself) never pay for hashing.
     id: OnceLock<GraphId>,
@@ -136,11 +148,13 @@ impl Graph {
             return Err(GraphError::UnknownNode(output.0));
         }
         let graph = Self {
-            name,
-            nodes,
-            consumers,
+            nodes: nodes.into(),
+            consumers: consumers.into(),
             output,
-            id: OnceLock::new(),
+            meta: Arc::new(Meta {
+                name,
+                id: OnceLock::new(),
+            }),
         };
         // Inputs reference earlier nodes only for builder-made graphs;
         // a decoded graph may have a cycle, which leaves nodes out of
@@ -156,13 +170,50 @@ impl Graph {
         Ok(graph)
     }
 
+    /// Checks what only a decoded graph can get wrong, since the builder
+    /// enforces both as it goes: layer names are unique, and every
+    /// stored output shape is the one its op derives from its inputs
+    /// ([`OpKind::derive_output`]). Only the decode path pays for it.
+    fn check_decoded(&self) -> Result<(), GraphError> {
+        let nodes: &[Node] = &self.nodes;
+        let mut names = HashSet::with_capacity(nodes.len());
+        let mut shapes = Vec::new();
+        for node in nodes {
+            if !names.insert(node.name.as_str()) {
+                return Err(GraphError::Malformed(format!(
+                    "duplicate layer name {:?}",
+                    node.name
+                )));
+            }
+            if matches!(node.op, OpKind::Input) {
+                if node.inputs.is_empty() {
+                    continue;
+                }
+                return Err(GraphError::Malformed(format!(
+                    "input node {:?} reads other nodes",
+                    node.name
+                )));
+            }
+            shapes.clear();
+            shapes.extend(node.inputs.iter().map(|i| nodes[i.0].output));
+            let derived = node.op.derive_output(&shapes)?;
+            if derived != node.output {
+                return Err(GraphError::ShapeMismatch(format!(
+                    "node {:?} stores output {} but its op derives {derived}",
+                    node.name, node.output
+                )));
+            }
+        }
+        Ok(())
+    }
+
     /// The graph's content id: equal for equal node tables, however
     /// the graph was built or decoded.
     #[must_use]
     pub fn id(&self) -> GraphId {
-        *self.id.get_or_init(|| {
+        *self.meta.id.get_or_init(|| {
             GraphId(ContentHasher::digest(&(
-                &self.name,
+                &self.meta.name,
                 &self.nodes,
                 self.output,
             )))
@@ -172,7 +223,7 @@ impl Graph {
     /// The graph's name (e.g. `"inception_v4"`).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        &self.meta.name
     }
 
     /// Number of nodes, including the input pseudo-node.
@@ -329,7 +380,7 @@ impl Graph {
     #[must_use]
     pub fn blocks(&self) -> Vec<&str> {
         let mut out: Vec<&str> = Vec::new();
-        for n in &self.nodes {
+        for n in self.nodes.iter() {
             if let Some(b) = n.block.as_deref() {
                 if !out.contains(&b) {
                     out.push(b);
@@ -355,7 +406,7 @@ impl Graph {
 impl Serialize for Graph {
     fn to_content(&self) -> Content {
         Content::Map(vec![
-            ("name".to_string(), self.name.to_content()),
+            ("name".to_string(), self.meta.name.to_content()),
             ("nodes".to_string(), self.nodes.to_content()),
             ("consumers".to_string(), self.consumers.to_content()),
             ("output".to_string(), self.output.to_content()),
@@ -363,25 +414,28 @@ impl Serialize for Graph {
     }
 }
 
-/// Reads `name`, `nodes` and `output` and validates them through the
-/// same constructor the builder uses; any `consumers` field is ignored
-/// (the lists are rebuilt from the inputs).
+/// Reads `name`, `nodes` and `output`, validates their structure
+/// through the same constructor the builder uses, then checks names and
+/// shapes the way the builder would have; any `consumers` field is
+/// ignored (the lists are rebuilt from the inputs).
 impl Deserialize for Graph {
     fn from_content(c: &Content) -> Result<Self, serde::Error> {
         let fields = as_map(c, "Graph")?;
-        Graph::from_parts(
+        let graph = Graph::from_parts(
             decode_field(fields, "name", "Graph")?,
             decode_field(fields, "nodes", "Graph")?,
             decode_field(fields, "output", "Graph")?,
         )
-        .map_err(serde::Error::custom)
+        .map_err(serde::Error::custom)?;
+        graph.check_decoded().map_err(serde::Error::custom)?;
+        Ok(graph)
     }
 }
 
 impl fmt::Display for Graph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "graph {} ({} nodes)", self.name, self.nodes.len())?;
-        for n in &self.nodes {
+        writeln!(f, "graph {} ({} nodes)", self.meta.name, self.nodes.len())?;
+        for n in self.nodes.iter() {
             let ins: Vec<String> = n.inputs.iter().map(|i| i.to_string()).collect();
             writeln!(
                 f,
@@ -482,6 +536,19 @@ mod tests {
         for n in g.iter() {
             assert!(text.contains(n.name()), "missing {}", n.name());
         }
+    }
+
+    #[test]
+    fn clones_share_storage_and_id() {
+        let g = diamond();
+        let copy = g.clone();
+        assert!(std::ptr::eq(g.node(NodeId(0)), copy.node(NodeId(0))));
+        let id = copy.id();
+        assert_eq!(
+            g.meta.id.get(),
+            Some(&id),
+            "the id is computed once for all clones"
+        );
     }
 
     #[test]

@@ -152,7 +152,11 @@ fn conv_dim(dim: usize, kernel: usize, stride: usize, pad: usize) -> Result<usiz
             "kernel {kernel} / stride {stride} must be nonzero"
         )));
     }
-    let padded = dim + 2 * pad;
+    // Decoded graphs carry parameters from outside the program.
+    let padded = pad
+        .checked_mul(2)
+        .and_then(|both| both.checked_add(dim))
+        .ok_or_else(|| GraphError::InvalidParams(format!("padding {pad} overflows")))?;
     if padded < kernel {
         return Err(GraphError::InvalidParams(format!(
             "kernel {kernel} larger than padded input {padded}"
@@ -243,6 +247,64 @@ impl OpKind {
     #[must_use]
     pub fn is_compute(&self) -> bool {
         matches!(self, OpKind::Conv(_) | OpKind::Fc(_))
+    }
+
+    /// The output shape this op derives from its input shapes — the one
+    /// shape rule: [`crate::GraphBuilder`] applies it as it adds a node,
+    /// and decoding re-applies it to check every stored shape.
+    ///
+    /// # Errors
+    ///
+    /// The wrong number of inputs, parameters that do not fit the input,
+    /// join inputs that disagree in shape, and [`OpKind::Input`], whose
+    /// shape is given rather than derived.
+    pub(crate) fn derive_output(
+        &self,
+        inputs: &[FeatureShape],
+    ) -> Result<FeatureShape, GraphError> {
+        match (self, inputs) {
+            (OpKind::Input, _) => Err(GraphError::Malformed(
+                "the input node's shape is given, not derived".to_string(),
+            )),
+            (OpKind::Conv(p), [input]) => p.output_shape(*input),
+            (OpKind::Pool(p), [input]) => p.output_shape(*input),
+            (OpKind::GlobalAvgPool, [input]) => Ok(FeatureShape::vector(input.channels)),
+            (OpKind::Fc(FcParams { out_features: 0 }), [_]) => Err(GraphError::InvalidParams(
+                "fc out_features must be nonzero".into(),
+            )),
+            (OpKind::Fc(p), [_]) => Ok(FeatureShape::vector(p.out_features)),
+            (OpKind::Concat, [first, _, ..]) => {
+                let mut channels = 0usize;
+                for s in inputs {
+                    if !s.same_spatial(first) {
+                        return Err(GraphError::ShapeMismatch(format!(
+                            "concat inputs {first} vs {s} differ spatially"
+                        )));
+                    }
+                    channels = channels.checked_add(s.channels).ok_or_else(|| {
+                        GraphError::ShapeMismatch("concat channel count overflows".into())
+                    })?;
+                }
+                Ok(first.with_channels(channels))
+            }
+            (OpKind::EltwiseAdd, [first, _, ..]) => match inputs.iter().find(|s| *s != first) {
+                Some(s) => Err(GraphError::ShapeMismatch(format!(
+                    "eltwise inputs {first} vs {s} differ"
+                ))),
+                None => Ok(*first),
+            },
+            (OpKind::Concat, _) => Err(GraphError::Malformed(
+                "concat needs at least two inputs".into(),
+            )),
+            (OpKind::EltwiseAdd, _) => Err(GraphError::Malformed(
+                "eltwise add needs at least two inputs".into(),
+            )),
+            (op, _) => Err(GraphError::Malformed(format!(
+                "{} takes one input, got {}",
+                op.tag(),
+                inputs.len()
+            ))),
+        }
     }
 
     /// Short lowercase tag used in traces and reports.
@@ -367,6 +429,18 @@ mod tests {
         };
         let out = p.output_shape(FeatureShape::new(64, 112, 112)).unwrap();
         assert_eq!(out, FeatureShape::new(64, 56, 56));
+    }
+
+    #[test]
+    fn derive_output_rejects_overflowing_parameters() {
+        let mut p = ConvParams::square(8, 3, 1, 1);
+        p.pad_w = usize::MAX;
+        let op = OpKind::Conv(p);
+        assert!(op.derive_output(&[FeatureShape::new(3, 8, 8)]).is_err());
+        let wide = FeatureShape::new(usize::MAX, 4, 4);
+        assert!(OpKind::Concat
+            .derive_output(&[wide, FeatureShape::new(1, 4, 4)])
+            .is_err());
     }
 
     #[test]

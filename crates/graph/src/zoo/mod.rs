@@ -32,12 +32,16 @@ pub use synthetic::{synthetic, synthetic_scaled, synthetic_shortcut};
 pub use vgg::vgg16;
 
 use crate::Graph;
+use std::sync::OnceLock;
 
 /// The paper's Table 1 benchmark suite: ResNet-152, GoogLeNet,
 /// Inception-v4, in that order.
 #[must_use]
 pub fn benchmark_suite() -> Vec<Graph> {
-    vec![resnet152(), googlenet(), inception_v4()]
+    ["resnet152", "googlenet", "inception_v4"]
+        .iter()
+        .filter_map(|name| by_name(name))
+        .collect()
 }
 
 /// Every named model in the zoo, smallest first — the audit grid walks
@@ -45,19 +49,7 @@ pub fn benchmark_suite() -> Vec<Graph> {
 /// the expensive inception builds run.
 #[must_use]
 pub fn full_zoo() -> Vec<Graph> {
-    vec![
-        alexnet(),
-        mobilenet(),
-        squeezenet(),
-        vgg16(),
-        googlenet(),
-        densenet121(),
-        resnet50(),
-        resnet101(),
-        resnet152(),
-        inception_v4(),
-        inception_resnet_v2(),
-    ]
+    (0..MODELS.len()).map(shared).collect()
 }
 
 /// Canonical short names of every zoo model, in [`full_zoo`] order —
@@ -80,7 +72,45 @@ pub fn names() -> &'static [&'static str] {
     ]
 }
 
-/// Builds a model by its short name, as used by the CLI.
+/// A zoo model's builder.
+type Builder = fn() -> Graph;
+
+/// The builder of each model in [`names`] order, with the aliases
+/// [`by_name`] accepts besides the canonical name.
+const MODELS: [(Builder, &[&str]); 11] = [
+    (alexnet, &[]),
+    (mobilenet, &["mn"]),
+    (squeezenet, &["sq"]),
+    (vgg16, &["vgg"]),
+    (googlenet, &["gn"]),
+    (densenet121, &["densenet", "dn"]),
+    (resnet50, &[]),
+    (resnet101, &[]),
+    (resnet152, &["rn"]),
+    (inception_v4, &["inception-v4", "in"]),
+    (inception_resnet_v2, &["irv2"]),
+];
+
+/// Each zoo model, built (and its id computed) by its first lookup.
+static BUILT: [OnceLock<Graph>; MODELS.len()] = [const { OnceLock::new() }; MODELS.len()];
+
+/// The process-wide shared graph of zoo model `index`: a handle clone.
+fn shared(index: usize) -> Graph {
+    shared_in(&BUILT[index], MODELS[index].0)
+}
+
+/// The graph in `cell`, built by `build` on first use. Racing first
+/// callers block until one build finishes, then all share its result.
+fn shared_in(cell: &OnceLock<Graph>, build: Builder) -> Graph {
+    cell.get_or_init(|| {
+        let graph = build();
+        let _ = graph.id();
+        graph
+    })
+    .clone()
+}
+
+/// Looks a model up by its short name, as used by the CLI.
 ///
 /// Recognised names: `alexnet`, `vgg16`, `resnet50`, `resnet101`,
 /// `resnet152`, `googlenet`, `inception_v4` (aliases `rn`, `gn`, `in`),
@@ -89,6 +119,11 @@ pub fn names() -> &'static [&'static str] {
 /// `@<percent>` suffix (e.g. `synthetic:1024x4x7@50`) and/or tilted
 /// toward residual diamonds with a `+res` suffix (e.g.
 /// `synthetic:1024x4x7@50+res`, see [`synthetic_shortcut`]).
+///
+/// A fixed zoo model is built once per process and shared: every
+/// lookup of it (by any alias) returns a handle on the same graph, its
+/// [`Graph::id`] already computed. Synthetic specs build a fresh graph
+/// on every call — their key space is unbounded.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Graph> {
     if let Some(spec) = name
@@ -116,25 +151,19 @@ pub fn by_name(name: &str) -> Option<Graph> {
             synthetic_scaled(depth, branching, seed, width_percent)
         });
     }
-    match name.to_ascii_lowercase().as_str() {
-        "alexnet" => Some(alexnet()),
-        "densenet121" | "densenet" | "dn" => Some(densenet121()),
-        "mobilenet" | "mn" => Some(mobilenet()),
-        "squeezenet" | "sq" => Some(squeezenet()),
-        "vgg16" | "vgg" => Some(vgg16()),
-        "resnet50" => Some(resnet50()),
-        "resnet101" => Some(resnet101()),
-        "resnet152" | "rn" => Some(resnet152()),
-        "googlenet" | "gn" => Some(googlenet()),
-        "inception_v4" | "inception-v4" | "in" => Some(inception_v4()),
-        "inception_resnet_v2" | "irv2" => Some(inception_resnet_v2()),
-        _ => None,
-    }
+    let name = name.to_ascii_lowercase();
+    let index =
+        (0..MODELS.len()).find(|&i| names()[i] == name || MODELS[i].1.contains(&name.as_str()))?;
+    Some(shared(index))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::NodeId;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
+    use std::thread;
 
     #[test]
     fn by_name_resolves_aliases() {
@@ -185,6 +214,87 @@ mod tests {
             let again = by_name(g.name()).expect("zoo models resolve by name");
             assert_eq!(again.len(), g.len());
         }
+    }
+
+    /// Two handles share storage when their first nodes are one object.
+    fn same_storage(a: &Graph, b: &Graph) -> bool {
+        std::ptr::eq(a.node(NodeId::new(0)), b.node(NodeId::new(0)))
+    }
+
+    #[test]
+    fn by_name_shares_one_graph_equal_to_a_fresh_build() {
+        let table: [(&str, Builder); 22] = [
+            ("alexnet", alexnet),
+            ("mobilenet", mobilenet),
+            ("mn", mobilenet),
+            ("squeezenet", squeezenet),
+            ("sq", squeezenet),
+            ("vgg16", vgg16),
+            ("vgg", vgg16),
+            ("googlenet", googlenet),
+            ("gn", googlenet),
+            ("densenet121", densenet121),
+            ("densenet", densenet121),
+            ("dn", densenet121),
+            ("resnet50", resnet50),
+            ("resnet101", resnet101),
+            ("resnet152", resnet152),
+            ("rn", resnet152),
+            ("inception_v4", inception_v4),
+            ("inception-v4", inception_v4),
+            ("in", inception_v4),
+            ("inception_resnet_v2", inception_resnet_v2),
+            ("irv2", inception_resnet_v2),
+            ("IRV2", inception_resnet_v2),
+        ];
+        for name in names() {
+            assert!(table.iter().any(|(n, _)| n == name), "{name} untested");
+        }
+        for (name, build) in table {
+            let fresh = build();
+            let shared = by_name(name).expect("zoo name resolves");
+            assert_eq!(shared.id(), fresh.id(), "{name}");
+            assert_eq!(shared.to_json(), fresh.to_json(), "{name}");
+            let canonical = by_name(fresh.name()).expect("canonical name resolves");
+            assert!(same_storage(&shared, &canonical), "{name}");
+            assert!(!same_storage(&shared, &fresh), "{name}");
+        }
+    }
+
+    #[test]
+    fn synthetic_specs_build_afresh() {
+        let a = by_name("synthetic:32x2x7").unwrap();
+        let b = by_name("synthetic:32x2x7").unwrap();
+        assert_eq!(a.id(), b.id());
+        assert!(!same_storage(&a, &b));
+    }
+
+    #[test]
+    fn racing_first_lookups_share_one_build() {
+        static CELL: OnceLock<Graph> = OnceLock::new();
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        fn counted() -> Graph {
+            BUILDS.fetch_add(1, Ordering::SeqCst);
+            alexnet()
+        }
+        let race = |lookup: &(dyn Fn() -> Graph + Sync)| {
+            let barrier = Barrier::new(2);
+            thread::scope(|s| {
+                let racers: Vec<_> = (0..2)
+                    .map(|_| {
+                        s.spawn(|| {
+                            barrier.wait();
+                            lookup()
+                        })
+                    })
+                    .collect();
+                let graphs: Vec<Graph> = racers.into_iter().map(|r| r.join().unwrap()).collect();
+                assert!(same_storage(&graphs[0], &graphs[1]));
+            });
+        };
+        race(&|| shared_in(&CELL, counted));
+        assert_eq!(BUILDS.load(Ordering::SeqCst), 1);
+        race(&|| by_name("inception_resnet_v2").unwrap());
     }
 
     #[test]

@@ -325,6 +325,24 @@ fn stats_report_cache_evictions() {
     server.shutdown();
 }
 
+#[test]
+fn zoo_aliases_answer_one_cached_plan() {
+    // An alias resolves to the same shared zoo graph, so it keys the
+    // same cache entry and replays the canonical name's reply.
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    let canonical = server.handle_line(r#"{"id":1,"graph":"resnet152"}"#);
+    assert!(
+        canonical.starts_with(r#"{"cached":false,"id":1,"ok":true,"plan":"#),
+        "{canonical}"
+    );
+    let alias = server.handle_line(r#"{"id":1,"graph":"rn"}"#);
+    assert_eq!(
+        alias,
+        canonical.replacen(r#""cached":false"#, r#""cached":true"#, 1)
+    );
+    server.shutdown();
+}
+
 /// Malformed and unresolvable requests get typed errors and never take
 /// the daemon down.
 #[test]

@@ -162,6 +162,34 @@ fn malformed_inline_graphs_are_typed_errors_not_panics() {
 }
 
 #[test]
+fn inconsistent_inline_graphs_are_bad_requests() {
+    // Structurally sound graphs whose content the builder would never
+    // have produced: decoding re-checks names and stored shapes.
+    let server = Server::start(ServerConfig::default().with_workers(1));
+    let inconsistent = [
+        (
+            "conv1 stride 4 -> 5, stored shapes unchanged",
+            edited(r#""stride_h":4"#, r#""stride_h":5"#),
+        ),
+        (
+            "two nodes named conv1",
+            edited(r#""name":"conv2""#, r#""name":"conv1""#),
+        ),
+    ];
+    for (what, json) in &inconsistent {
+        let reply = server.handle_line(&inline_plan(json));
+        assert_eq!(
+            error_code(&reply).as_deref(),
+            Some("bad_request"),
+            "{what}: {reply}"
+        );
+    }
+    let ok = server.handle_line(&inline_plan(&alexnet_json()));
+    assert!(ok.contains("\"ok\":true"), "{ok}");
+    server.shutdown();
+}
+
+#[test]
 fn inline_consumer_lists_are_rebuilt_not_trusted() {
     // Consumers are derived from inputs: an emptied list plans to the
     // same bytes as the valid graph.
